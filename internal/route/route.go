@@ -12,10 +12,10 @@
 package route
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/network"
 )
@@ -27,6 +27,12 @@ import (
 type Graph struct {
 	net *network.Network
 	adj [][]edge
+	// comp labels each vertex with its connected component. Every edge
+	// is bidirectional, so two vertices are connected exactly when their
+	// labels match.
+	comp []int32
+	// searches pools Dijkstra state (*search) sized to this graph.
+	searches sync.Pool
 }
 
 // connectorSeg marks an edge that is a pedestrian connector between two
@@ -44,6 +50,12 @@ type edge struct {
 // (common in digitized data) remain disconnected; use NewGraphConnected
 // for tour planning over such networks.
 func NewGraph(net *network.Network) *Graph {
+	g := segmentGraph(net)
+	g.labelComponents()
+	return g
+}
+
+func segmentGraph(net *network.Network) *Graph {
 	g := &Graph{net: net, adj: make([][]edge, net.NumVertices())}
 	for _, seg := range net.Segments() {
 		g.adj[seg.From] = append(g.adj[seg.From], edge{to: seg.To, seg: int32(seg.ID), w: seg.Length()})
@@ -57,10 +69,16 @@ func NewGraph(net *network.Network) *Graph {
 // snap, weighted by their Euclidean distance. This joins streets whose
 // geometries cross or nearly touch without sharing a vertex.
 func NewGraphConnected(net *network.Network, snap float64) *Graph {
-	g := NewGraph(net)
-	if snap <= 0 || net.NumVertices() == 0 {
-		return g
+	g := segmentGraph(net)
+	if snap > 0 && net.NumVertices() > 0 {
+		g.addConnectors(snap)
 	}
+	g.labelComponents()
+	return g
+}
+
+func (g *Graph) addConnectors(snap float64) {
+	net := g.net
 	// Bucket vertices on a grid of cell size snap; candidates live in
 	// the 3×3 cell block around each vertex.
 	type cellKey struct{ x, y int32 }
@@ -92,7 +110,35 @@ func NewGraphConnected(net *network.Network, snap float64) *Graph {
 			}
 		}
 	}
-	return g
+}
+
+// labelComponents fills comp by a depth-first sweep from each unlabeled
+// vertex in ascending id.
+func (g *Graph) labelComponents() {
+	g.comp = make([]int32, len(g.adj))
+	for i := range g.comp {
+		g.comp[i] = -1
+	}
+	var stack []network.VertexID
+	next := int32(0)
+	for v := range g.adj {
+		if g.comp[v] >= 0 {
+			continue
+		}
+		g.comp[v] = next
+		stack = append(stack[:0], network.VertexID(v))
+		for len(stack) > 0 {
+			u := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, e := range g.adj[u] {
+				if g.comp[e.to] < 0 {
+					g.comp[e.to] = next
+					stack = append(stack, e.to)
+				}
+			}
+		}
+		next++
+	}
 }
 
 // Network returns the underlying road network.
@@ -104,18 +150,45 @@ type pqItem struct {
 	dist float64
 }
 
+// pq is a binary min-heap on dist. Its sift-up and sift-down follow
+// container/heap step for step, so entries of equal distance pop in the
+// same order as they always have: that order picks which of several
+// equally short paths a tour walks.
 type pq []pqItem
 
-func (q pq) Len() int            { return len(q) }
-func (q pq) Less(i, j int) bool  { return q[i].dist < q[j].dist }
-func (q pq) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *pq) Push(x interface{}) { *q = append(*q, x.(pqItem)) }
-func (q *pq) Pop() interface{} {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
+func (q *pq) push(it pqItem) {
+	h := append(*q, it)
+	*q = h
+	for j := len(h) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || !(h[j].dist < h[i].dist) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (q *pq) pop() pqItem {
+	h := *q
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && h[j2].dist < h[j].dist {
+			j = j2
+		}
+		if !(h[j].dist < h[i].dist) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	*q = h[:n]
+	return h[n]
 }
 
 // Path is a shortest path between two vertices.
@@ -147,38 +220,83 @@ func (g *Graph) ShortestDistances(src network.VertexID) []float64 {
 	return dist
 }
 
-// dijkstra computes shortest distances from src; when stop is a valid
-// vertex the search may terminate once it is settled.
+// dijkstra computes shortest distances from src over the whole graph;
+// when stop is a valid vertex the search may terminate once it is
+// settled.
 func (g *Graph) dijkstra(src, stop network.VertexID) (dist []float64, prevV []int32, prevS []int32) {
-	n := len(g.adj)
-	dist = make([]float64, n)
-	prevV = make([]int32, n)
-	prevS = make([]int32, n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-		prevV[i] = -1
-		prevS[i] = -1
+	s := newSearch(len(g.adj))
+	g.search(s, src, stop, math.Inf(1))
+	return s.dist, s.prevV, s.prevS
+}
+
+// search is the state of one Dijkstra run. touched lists every vertex
+// whose entries were written, so reset restores a pooled search in time
+// proportional to the run, not to the graph.
+type search struct {
+	dist    []float64
+	prevV   []int32
+	prevS   []int32
+	touched []network.VertexID
+	q       pq
+}
+
+func newSearch(n int) *search {
+	s := &search{dist: make([]float64, n), prevV: make([]int32, n), prevS: make([]int32, n)}
+	for i := range s.dist {
+		s.dist[i] = math.Inf(1)
+		s.prevV[i] = -1
+		s.prevS[i] = -1
 	}
-	dist[src] = 0
-	q := pq{{v: src, dist: 0}}
-	for len(q) > 0 {
-		it := heap.Pop(&q).(pqItem)
-		if it.dist > dist[it.v] {
+	return s
+}
+
+func (s *search) reset() {
+	for _, v := range s.touched {
+		s.dist[v] = math.Inf(1)
+		s.prevV[v] = -1
+		s.prevS[v] = -1
+	}
+	s.touched = s.touched[:0]
+	s.q = s.q[:0]
+}
+
+// search runs Dijkstra from src into a reset s. It stops once stop is
+// settled, or at the first pop farther than limit; in the second case
+// every vertex reached but not settled reads as +Inf, as if unreachable.
+// Settled vertices carry the distances and predecessors a full run
+// gives them: the pops up to the stopping point are the same.
+func (g *Graph) search(s *search, src, stop network.VertexID, limit float64) {
+	s.dist[src] = 0
+	s.touched = append(s.touched, src)
+	s.q.push(pqItem{v: src, dist: 0})
+	for len(s.q) > 0 {
+		it := s.q.pop()
+		if it.dist > limit {
+			for _, v := range s.touched {
+				if s.dist[v] > limit {
+					s.dist[v] = math.Inf(1)
+				}
+			}
+			return
+		}
+		if it.dist > s.dist[it.v] {
 			continue // stale entry
 		}
 		if it.v == stop {
-			return dist, prevV, prevS
+			return
 		}
 		for _, e := range g.adj[it.v] {
-			if nd := it.dist + e.w; nd < dist[e.to] {
-				dist[e.to] = nd
-				prevV[e.to] = int32(it.v)
-				prevS[e.to] = e.seg
-				heap.Push(&q, pqItem{v: e.to, dist: nd})
+			if nd := it.dist + e.w; nd < s.dist[e.to] {
+				if math.IsInf(s.dist[e.to], 1) {
+					s.touched = append(s.touched, e.to)
+				}
+				s.dist[e.to] = nd
+				s.prevV[e.to] = int32(it.v)
+				s.prevS[e.to] = e.seg
+				s.q.push(pqItem{v: e.to, dist: nd})
 			}
 		}
 	}
-	return dist, prevV, prevS
 }
 
 func (g *Graph) reconstruct(src, dst network.VertexID, dist []float64, prevV, prevS []int32) Path {
@@ -266,7 +384,9 @@ func Recommend(g *Graph, candidates []Candidate, budget float64) (Tour, error) {
 			start = i
 		}
 	}
-	visited := map[int]bool{start: true}
+	visited := make([]bool, len(candidates))
+	visited[start] = true
+	nVisited := 1
 	startStreet := g.net.Street(candidates[start].Street)
 	tour := Tour{
 		Stops: []Stop{{
@@ -277,19 +397,28 @@ func Recommend(g *Graph, candidates []Candidate, budget float64) (Tour, error) {
 		Length:   startStreet.Length(),
 		Interest: candidates[start].Interest,
 	}
+	s := g.getSearch()
+	defer g.putSearch(s)
 	// Current position: the end vertex of the last visited street.
 	cur := streetEnd(g.net, candidates[start].Street)
-	for len(visited) < len(candidates) {
-		dist, prevV, prevS := g.dijkstra(cur, network.VertexID(math.MaxUint32))
+	for nVisited < len(candidates) {
+		// A stop needs tour.Length + d + len(street) ≤ budget, so the
+		// search can stop past budget − tour.Length. The slack is
+		// absolute: the difference can cancel to a few ulps, and a
+		// vertex the exact test below would accept must still be
+		// settled. It only lets the search settle a little more; the
+		// exact test alone decides.
+		s.reset()
+		g.search(s, cur, network.VertexID(math.MaxUint32), budget-tour.Length+1e-9*budget)
 		bestIdx := -1
 		var bestRatio float64
-		var bestPath Path
+		var bestEntry network.VertexID
 		for i, c := range candidates {
 			if visited[i] {
 				continue
 			}
 			entry := streetStart(g.net, c.Street)
-			d := dist[entry]
+			d := s.dist[entry]
 			if math.IsInf(d, 1) {
 				continue
 			}
@@ -302,7 +431,7 @@ func Recommend(g *Graph, candidates []Candidate, budget float64) (Tour, error) {
 			if bestIdx == -1 || ratio > bestRatio {
 				bestIdx = i
 				bestRatio = ratio
-				bestPath = g.reconstruct(cur, entry, dist, prevV, prevS)
+				bestEntry = entry
 			}
 		}
 		if bestIdx == -1 {
@@ -311,35 +440,42 @@ func Recommend(g *Graph, candidates []Candidate, budget float64) (Tour, error) {
 		c := candidates[bestIdx]
 		st := g.net.Street(c.Street)
 		visited[bestIdx] = true
+		nVisited++
+		approach := g.reconstruct(cur, bestEntry, s.dist, s.prevV, s.prevS)
 		tour.Stops = append(tour.Stops, Stop{
 			Street:   c.Street,
 			Name:     st.Name,
 			Interest: c.Interest,
-			Approach: bestPath,
+			Approach: approach,
 		})
-		tour.Length += bestPath.Length + st.Length()
+		tour.Length += approach.Length + st.Length()
 		tour.Interest += c.Interest
 		cur = streetEnd(g.net, c.Street)
 	}
-	if len(visited) < len(candidates) {
-		// Classify the leftovers: reachability is a component property of
-		// the undirected graph, so one distance pass from the final
-		// position settles it for every remaining candidate.
-		dist, _, _ := g.dijkstra(cur, network.VertexID(math.MaxUint32))
-		for i, c := range candidates {
-			if visited[i] {
-				continue
-			}
-			if math.IsInf(dist[streetStart(g.net, c.Street)], 1) {
-				tour.Unreached = append(tour.Unreached, Unreached{
-					Street:   c.Street,
-					Name:     g.net.Street(c.Street).Name,
-					Interest: c.Interest,
-				})
-			}
+	// The leftovers outside the final position's component are
+	// unreachable; the rest were over budget.
+	for i, c := range candidates {
+		if !visited[i] && g.comp[streetStart(g.net, c.Street)] != g.comp[cur] {
+			tour.Unreached = append(tour.Unreached, Unreached{
+				Street:   c.Street,
+				Name:     g.net.Street(c.Street).Name,
+				Interest: c.Interest,
+			})
 		}
 	}
 	return tour, nil
+}
+
+func (g *Graph) getSearch() *search {
+	if s, ok := g.searches.Get().(*search); ok {
+		return s
+	}
+	return newSearch(len(g.adj))
+}
+
+func (g *Graph) putSearch(s *search) {
+	s.reset()
+	g.searches.Put(s)
 }
 
 // streetStart returns the first vertex of the street's segment path.

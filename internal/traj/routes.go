@@ -1,11 +1,13 @@
 package traj
 
 import (
+	"cmp"
 	"container/heap"
 	"context"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/faults"
@@ -70,7 +72,9 @@ type Route struct {
 	Score float64
 }
 
-// SearchStats reports the work one route search performed.
+// SearchStats reports the work one route search performed. A pair whose
+// shortest path is longer than the budget (or that is disconnected) is
+// answered before the search starts, so its stats are all zero.
 type SearchStats struct {
 	// Expansions counts partial paths popped from the frontier.
 	Expansions int
@@ -114,12 +118,20 @@ const ctxPollInterval = 64
 // canonical sort makes the answer independent of pruning decisions.
 const boundSlack = 1e-9
 
-// partial is one frontier entry: a vertex-simple path from the source.
+// partial is one frontier entry: a vertex-simple path from the source,
+// stored as its last hop and a pointer to the path it extends. A child
+// is one fixed-size record however long its path is; vertex and segment
+// slices are built only for the routes returned.
 type partial struct {
-	verts    []network.VertexID
-	segs     []network.SegmentID
-	length   float64
-	interest float64
+	parent *partial
+	// v is the path's last vertex and seg the edge that entered it
+	// (ConnectorSeg for a connector hop and for the source).
+	v   network.VertexID
+	seg int32
+	// depth counts the path's hops, nseg its street segments.
+	depth, nseg int32
+	length      float64
+	interest    float64
 	// remPos is the positive interest not yet collected by this path,
 	// over the budget-feasible segment set.
 	remPos float64
@@ -129,29 +141,125 @@ type partial struct {
 	ub float64
 }
 
+// route materializes a completed path.
+func (p *partial) route(alpha float64) Route {
+	verts := make([]network.VertexID, p.depth+1)
+	i := p.depth
+	for n := p; n != nil; n = n.parent {
+		verts[i] = n.v
+		i--
+	}
+	var segs []network.SegmentID
+	if p.nseg > 0 {
+		segs = p.segments(nil)
+	}
+	return Route{
+		Vertices: verts,
+		Segments: segs,
+		Length:   p.length,
+		Interest: p.interest,
+		Score:    p.interest - alpha*p.length,
+	}
+}
+
+// segments writes p's segment sequence into buf's storage.
+func (p *partial) segments(buf []network.SegmentID) []network.SegmentID {
+	buf = slices.Grow(buf[:0], int(p.nseg))[:p.nseg]
+	j := p.nseg
+	for n := p; n != nil; n = n.parent {
+		if n.seg != ConnectorSeg {
+			j--
+			buf[j] = network.SegmentID(n.seg)
+		}
+	}
+	return buf
+}
+
+// lessPath orders two partials by their vertex sequences exactly as
+// lessVertSeq orders the materialized slices. Both chains end at the
+// same source partial, so the walk lifts the deeper one to the other's
+// depth, then climbs both to their common ancestor, remembering the
+// topmost position where the vertices differ. It allocates nothing.
+func lessPath(a, b *partial) bool {
+	shorter := a.depth < b.depth
+	for a.depth > b.depth {
+		a = a.parent
+	}
+	for b.depth > a.depth {
+		b = b.parent
+	}
+	differ := false
+	var av, bv network.VertexID
+	for a != b {
+		if a.v != b.v {
+			differ, av, bv = true, a.v, b.v
+		}
+		a, b = a.parent, b.parent
+	}
+	if differ {
+		return av < bv
+	}
+	return shorter
+}
+
 // frontier orders partials best-first: upper bound descending, then
 // length ascending, then lexicographic vertex sequence — a total,
-// deterministic order.
-type frontier []*partial
+// deterministic order. Each slot carries the two leading keys inline, so
+// most comparisons never load the partial itself.
+type frontier []frontEntry
 
-func (f frontier) Len() int { return len(f) }
-func (f frontier) Less(i, j int) bool {
-	a, b := f[i], f[j]
+type frontEntry struct {
+	ub, length float64
+	p          *partial
+}
+
+func (f frontier) less(i, j int) bool {
+	a, b := &f[i], &f[j]
 	if a.ub != b.ub {
 		return a.ub > b.ub
 	}
 	if a.length != b.length {
 		return a.length < b.length
 	}
-	return lessVertSeq(a.verts, b.verts)
+	return lessPath(a.p, b.p)
 }
-func (f frontier) Swap(i, j int)       { f[i], f[j] = f[j], f[i] }
-func (f *frontier) Push(x interface{}) { *f = append(*f, x.(*partial)) }
-func (f *frontier) Pop() interface{} {
-	old := *f
-	n := len(old)
-	p := old[n-1]
-	*f = old[:n-1]
+
+// push and pop sift exactly as container/heap does, so partials that
+// tie on every key (parallel edges) still pop in a fixed order.
+func (f *frontier) push(p *partial) {
+	h := append(*f, frontEntry{ub: p.ub, length: p.length, p: p})
+	*f = h
+	for j := len(h) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (f *frontier) pop() *partial {
+	h := *f
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && h.less(j2, j) {
+			j = j2
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	p := h[n].p
+	h[n] = frontEntry{} // a pooled frontier must not pin popped paths
+	*f = h[:n]
 	return p
 }
 
@@ -175,9 +283,10 @@ func lessSegSeq(a, b []network.SegmentID) bool {
 
 // SortRoutes puts routes in the canonical answer order: score
 // descending, then length ascending, then lexicographic vertex sequence,
-// then lexicographic segment sequence (parallel edges). Both the pruned
-// search and the brute-force oracle finish with this sort, so their
-// answers are comparable rank by rank.
+// then lexicographic segment sequence (parallel edges). The brute-force
+// oracle finishes with this sort and the pruned search orders its
+// completions by the same keys, so their answers are comparable rank by
+// rank.
 func SortRoutes(rs []Route) {
 	sortRoutesBy(rs, func(a, b Route) bool {
 		if a.Score != b.Score {
@@ -218,7 +327,13 @@ func sortRoutesBy(rs []Route, less func(a, b Route) bool) {
 // the brute-force oracle's for the same path, and the canonical final
 // sort makes the ranking independent of exploration order.
 //
-// An unreachable source/destination pair yields an empty answer, not an
+// Both distance searches stop at the (slack-extended) budget, so a
+// query's work follows the region its budget can reach, not the size of
+// the graph. Partials are parent-pointer chains on pooled scratch; only
+// the k returned routes get vertex and segment slices.
+//
+// A source/destination pair that is unreachable, or farther apart than
+// the budget, yields an empty answer with zero SearchStats, not an
 // error. The search observes ctx at a cooperative polling interval.
 func TopKRoutes(ctx context.Context, g *Graph, interest InterestFunc, q RouteQuery, opt SearchOptions) ([]Route, SearchStats, error) {
 	var st SearchStats
@@ -230,21 +345,32 @@ func TopKRoutes(ctx context.Context, g *Graph, interest InterestFunc, q RouteQue
 		maxExp = DefaultMaxExpansions
 	}
 
-	distToDst := g.Distances(q.Dst)
+	budgetCap := q.Budget * (1 + boundSlack)
+
+	// Both distance searches stop at budgetCap, on scratch pooled per
+	// graph. Every prune below compares a sum of non-negative terms that
+	// includes one of these distances against budgetCap, so a vertex past
+	// it is pruned whether it reads as its true distance or as +Inf. A
+	// source past it has no route within the budget: the same empty
+	// answer as a disconnected pair.
+	s := g.getScratch()
+	defer g.putScratch(s)
+	g.grow(&s.toDst, q.Dst, budgetCap)
+	distToDst := s.toDst.dist
 	if math.IsInf(distToDst[q.Src], 1) {
 		return []Route{}, st, nil
 	}
-	distFromSrc := g.Distances(q.Src)
-
-	budgetCap := q.Budget * (1 + boundSlack)
+	g.grow(&s.fromSrc, q.Src, budgetCap)
+	distFromSrc := s.fromSrc.dist
 
 	// Exact per-segment interests, computed once — but only for segments
 	// some budget-feasible path can traverse (a directed edge u→v with
 	// distFromSrc[u] + len + distToDst[v] within the slack-extended
 	// budget). Every other segment is unreachable by the search, so its
 	// interest fold is never needed and contributes nothing to any bound.
-	interests := make([]float64, g.net.NumSegments())
-	evaluated := make([]bool, g.net.NumSegments())
+	// Only settled vertices can start such an edge; they are scanned in
+	// ascending id so interests are evaluated in a fixed order.
+	interests, evaluated := s.interests, s.evaluated
 	// needs/prefixPos support the per-partial collectible bound: a
 	// completion suffix that traverses segment s and then reaches the
 	// destination is at least need(s) = len(s) + min(distToDst over s's
@@ -252,13 +378,10 @@ func TopKRoutes(ctx context.Context, g *Graph, interest InterestFunc, q RouteQue
 	// still collect segments with need ≤ r. Sorting feasible positive
 	// interests by need with a prefix sum turns "positive interest still
 	// collectible within r" into one binary search.
-	type needEntry struct{ need, pos float64 }
-	var entries []needEntry
-	for u := range g.adj {
+	entries := s.entries[:0]
+	slices.Sort(s.fromSrc.settled)
+	for _, u := range s.fromSrc.settled {
 		du := distFromSrc[u]
-		if math.IsInf(du, 1) {
-			continue
-		}
 		for _, e := range g.adj[u] {
 			if e.Seg == ConnectorSeg {
 				continue
@@ -270,23 +393,26 @@ func TopKRoutes(ctx context.Context, g *Graph, interest InterestFunc, q RouteQue
 				continue
 			}
 			evaluated[e.Seg] = true
+			s.evalSegs = append(s.evalSegs, e.Seg)
 			iv := interest(network.SegmentID(e.Seg))
 			interests[e.Seg] = iv
 			if iv > 0 {
 				entries = append(entries, needEntry{
-					need: e.Len + math.Min(distToDst[network.VertexID(u)], distToDst[e.To]),
+					need: e.Len + math.Min(distToDst[u], distToDst[e.To]),
 					pos:  iv,
 				})
 			}
 		}
 	}
-	sort.SliceStable(entries, func(i, j int) bool { return entries[i].need < entries[j].need })
-	needs := make([]float64, len(entries))
-	prefixPos := make([]float64, len(entries)+1)
+	slices.SortStableFunc(entries, func(a, b needEntry) int { return cmp.Compare(a.need, b.need) })
+	s.entries = entries
+	needs := s.needs[:0]
+	prefixPos := append(s.prefixPos[:0], 0)
 	for i, en := range entries {
-		needs[i] = en.need
-		prefixPos[i+1] = prefixPos[i] + en.pos
+		needs = append(needs, en.need)
+		prefixPos = append(prefixPos, prefixPos[i]+en.pos)
 	}
+	s.needs, s.prefixPos = needs, prefixPos
 	// reachPos bounds the positive interest collectible with remaining
 	// budget r. posTotal is reachPos over the whole budget: the sum of
 	// every feasible positive interest.
@@ -295,20 +421,26 @@ func TopKRoutes(ctx context.Context, g *Graph, interest InterestFunc, q RouteQue
 	}
 	posTotal := prefixPos[len(entries)]
 
-	var completions []Route
+	completions := s.done[:0]
 	// top holds the k best completion scores; threshold is its minimum
 	// once full.
-	var top scoreHeap
+	top := s.top[:0]
 	threshold := math.Inf(-1)
 
-	f := frontier{&partial{
-		verts:  []network.VertexID{q.Src},
+	f := s.front[:0]
+	// The frontier, score heap and completions go back to the scratch
+	// however the search ends; putScratch drops what they point to.
+	defer func() { s.front, s.top, s.done = f, top, completions }()
+	root := s.nodes.alloc()
+	*root = partial{
+		v:      q.Src,
+		seg:    ConnectorSeg,
 		remPos: posTotal,
 		ub:     posTotal - q.Alpha*distToDst[q.Src],
-	}}
-	heap.Init(&f)
+	}
+	f.push(root)
 
-	for f.Len() > 0 {
+	for len(f) > 0 {
 		if st.Expansions%ctxPollInterval == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, st, err
@@ -320,24 +452,17 @@ func TopKRoutes(ctx context.Context, g *Graph, interest InterestFunc, q RouteQue
 		if st.Expansions >= maxExp {
 			return nil, st, fmt.Errorf("%w (%d expansions)", ErrSearchBudget, st.Expansions)
 		}
-		p := heap.Pop(&f).(*partial)
+		p := f.pop()
 		st.Expansions++
 		if belowThreshold(p.ub, threshold) {
 			st.PrunedBound++
 			continue
 		}
-		last := p.verts[len(p.verts)-1]
-		if last == q.Dst {
+		if p.v == q.Dst {
 			// A vertex-simple path cannot revisit the destination, so
 			// this partial is exactly one completed route.
 			score := p.interest - q.Alpha*p.length
-			completions = append(completions, Route{
-				Vertices: p.verts,
-				Segments: p.segs,
-				Length:   p.length,
-				Interest: p.interest,
-				Score:    score,
-			})
+			completions = append(completions, completed{score, p})
 			st.Completed++
 			if top.Len() < q.K {
 				heap.Push(&top, score)
@@ -350,8 +475,9 @@ func TopKRoutes(ctx context.Context, g *Graph, interest InterestFunc, q RouteQue
 			}
 			continue
 		}
-		for _, e := range g.adj[last] {
-			if containsVert(p.verts, e.To) {
+		onPath := s.markPath(p)
+		for _, e := range g.adj[p.v] {
+			if s.mark[e.To] == onPath {
 				continue // loopless: vertex-simple paths only
 			}
 			newLen := p.length + e.Len
@@ -365,12 +491,14 @@ func TopKRoutes(ctx context.Context, g *Graph, interest InterestFunc, q RouteQue
 			}
 			newInterest := p.interest
 			newRemPos := p.remPos
+			nseg := p.nseg
 			if e.Seg != ConnectorSeg {
 				iv := interests[e.Seg]
 				newInterest += iv
 				if iv > 0 {
 					newRemPos -= iv
 				}
+				nseg++
 			}
 			// Admissible bound: any completion collects at most the
 			// uncollected positive interest (remPos) that is also still
@@ -388,27 +516,67 @@ func TopKRoutes(ctx context.Context, g *Graph, interest InterestFunc, q RouteQue
 				st.PrunedBound++
 				continue
 			}
-			child := &partial{
-				verts:    append(append(make([]network.VertexID, 0, len(p.verts)+1), p.verts...), e.To),
-				segs:     p.segs,
+			child := s.nodes.alloc()
+			*child = partial{
+				parent:   p,
+				v:        e.To,
+				seg:      e.Seg,
+				depth:    p.depth + 1,
+				nseg:     nseg,
 				length:   newLen,
 				interest: newInterest,
 				remPos:   newRemPos,
 				ub:       ub,
 			}
-			if e.Seg != ConnectorSeg {
-				child.segs = append(append(make([]network.SegmentID, 0, len(p.segs)+1), p.segs...), network.SegmentID(e.Seg))
-			}
-			heap.Push(&f, child)
+			f.push(child)
 			st.Generated++
 		}
 	}
 
-	SortRoutes(completions)
-	if len(completions) > q.K {
-		completions = completions[:q.K]
+	if len(completions) == 0 {
+		return nil, st, nil
 	}
-	return completions, st, nil
+	// The canonical order of SortRoutes, taken on the paths themselves,
+	// so only the k returned routes are ever materialized.
+	slices.SortFunc(completions, s.compareCompleted)
+	routes := make([]Route, min(q.K, len(completions)))
+	for i := range routes {
+		routes[i] = completions[i].p.route(q.Alpha)
+	}
+	return routes, st, nil
+}
+
+// completed is a partial that reached the destination, with its score.
+type completed struct {
+	score float64
+	p     *partial
+}
+
+// compareCompleted orders completions as SortRoutes orders their routes:
+// score descending, length ascending, then vertex and segment sequence.
+// The order is total — two distinct simple paths differ in a vertex or
+// in the edge between two — so any sort yields SortRoutes' answer.
+func (s *scratch) compareCompleted(a, b completed) int {
+	switch {
+	case a.score != b.score:
+		return boolCmp(a.score > b.score)
+	case a.p.length != b.p.length:
+		return boolCmp(a.p.length < b.p.length)
+	case lessPath(a.p, b.p):
+		return -1
+	case lessPath(b.p, a.p):
+		return 1
+	}
+	s.segsA, s.segsB = a.p.segments(s.segsA), b.p.segments(s.segsB)
+	return slices.Compare(s.segsA, s.segsB)
+}
+
+// boolCmp maps "sorts first" to -1 and its negation to 1.
+func boolCmp(first bool) int {
+	if first {
+		return -1
+	}
+	return 1
 }
 
 // belowThreshold reports whether an admissible upper bound is so far
@@ -420,15 +588,6 @@ func belowThreshold(ub, threshold float64) bool {
 	}
 	slack := boundSlack * (math.Abs(ub) + math.Abs(threshold) + 1)
 	return ub+slack < threshold
-}
-
-func containsVert(vs []network.VertexID, v network.VertexID) bool {
-	for _, u := range vs {
-		if u == v {
-			return true
-		}
-	}
-	return false
 }
 
 // scoreHeap is a min-heap of the best completion scores seen so far.
@@ -444,4 +603,121 @@ func (h *scoreHeap) Pop() interface{} {
 	v := old[n-1]
 	*h = old[:n-1]
 	return v
+}
+
+// needEntry is one feasible positive-interest segment of the
+// collectible bound: the shortest suffix that still collects it, and
+// its interest.
+type needEntry struct{ need, pos float64 }
+
+// scratch is the working memory of one route search, pooled per Graph.
+// The graph-sized arrays are reset between searches by undoing only
+// what a search wrote, so a search's cost follows its budget ball, not
+// the size of the city.
+type scratch struct {
+	toDst, fromSrc ball
+	// interests and evaluated are indexed by segment id; evalSegs lists
+	// the segments whose entries were written.
+	interests []float64
+	evaluated []bool
+	evalSegs  []int32
+	entries   []needEntry
+	needs     []float64
+	prefixPos []float64
+	// mark stamps the vertices of the partial being expanded with epoch,
+	// so the loopless test is one load per edge.
+	mark  []uint32
+	epoch uint32
+	nodes arena
+	front frontier
+	top   scoreHeap
+	done  []completed
+	// segsA and segsB hold segment sequences while two completions that
+	// tie on every other key are compared.
+	segsA, segsB []network.SegmentID
+}
+
+// arena hands out the partials of one search from chunks kept across
+// searches: a search's partials all die when it ends, so the chunks are
+// reused instead of collected one partial at a time. Completed routes
+// copy their paths out, so nothing outside the search points in.
+type arena struct {
+	chunks [][]partial
+	n      int // partials handed out by the current search
+}
+
+const (
+	arenaChunk = 512
+	// arenaKeep caps the chunks kept for the next search, so one huge
+	// search does not pin its memory in the pool.
+	arenaKeep = 64
+)
+
+func (a *arena) alloc() *partial {
+	c, i := a.n/arenaChunk, a.n%arenaChunk
+	if c == len(a.chunks) {
+		a.chunks = append(a.chunks, make([]partial, arenaChunk))
+	}
+	a.n++
+	return &a.chunks[c][i]
+}
+
+func (a *arena) reset() {
+	if len(a.chunks) > arenaKeep {
+		clear(a.chunks[arenaKeep:])
+		a.chunks = a.chunks[:arenaKeep]
+	}
+	a.n = 0
+}
+
+func (g *Graph) getScratch() *scratch {
+	if s, ok := g.scratch.Get().(*scratch); ok {
+		return s
+	}
+	n, m := len(g.adj), g.net.NumSegments()
+	return &scratch{
+		toDst:     ball{dist: infs(n), track: true},
+		fromSrc:   ball{dist: infs(n), track: true},
+		interests: make([]float64, m),
+		evaluated: make([]bool, m),
+		mark:      make([]uint32, n),
+	}
+}
+
+func (g *Graph) putScratch(s *scratch) {
+	s.toDst.reset()
+	s.fromSrc.reset()
+	for _, sid := range s.evalSegs {
+		s.evaluated[sid] = false
+		s.interests[sid] = 0
+	}
+	s.evalSegs = s.evalSegs[:0]
+	s.nodes.reset()
+	clear(s.front)
+	s.front = s.front[:0]
+	s.top = s.top[:0]
+	clear(s.done)
+	s.done = s.done[:0]
+	g.scratch.Put(s)
+}
+
+// markPath stamps p's vertices with a fresh epoch and returns it.
+func (s *scratch) markPath(p *partial) uint32 {
+	s.epoch++
+	if s.epoch == 0 {
+		clear(s.mark)
+		s.epoch = 1
+	}
+	for n := p; n != nil; n = n.parent {
+		s.mark[n.v] = s.epoch
+	}
+	return s.epoch
+}
+
+func infs(n int) []float64 {
+	d := make([]float64, n)
+	for i := range d {
+		d[i] = math.Inf(1)
+	}
+	return d
 }

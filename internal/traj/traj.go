@@ -25,6 +25,7 @@ package traj
 import (
 	"math"
 	"sort"
+	"sync"
 
 	"repro/internal/geo"
 	"repro/internal/network"
@@ -57,6 +58,9 @@ type Edge struct {
 type Graph struct {
 	net *network.Network
 	adj [][]Edge
+	// scratch pools per-query route-search state (*scratch) sized to
+	// this graph.
+	scratch sync.Pool
 }
 
 // NewGraph builds the trajectory graph. A positive snap joins every
@@ -154,33 +158,86 @@ func NearestVertex(net *network.Network, p geo.Point) (network.VertexID, bool) {
 	return best, true
 }
 
-// Distances runs Dijkstra from src over the graph, returning the
-// shortest walking distance to every vertex (+Inf when unreachable).
-// The route search uses it as the admissible remaining-distance bound
-// for budget-feasibility pruning.
+// Distances runs Dijkstra from src over the whole graph, returning the
+// shortest walking distance to every vertex (+Inf when unreachable). It
+// is the full-graph reference for the budget-bounded searches TopKRoutes
+// runs on pooled scratch: both settle vertices in the same order, so
+// every distance a bounded search settles equals this one bit for bit.
 func (g *Graph) Distances(src network.VertexID) []float64 {
-	dist := make([]float64, len(g.adj))
-	for i := range dist {
-		dist[i] = math.Inf(1)
+	b := ball{dist: infs(len(g.adj))}
+	if int(src) < len(g.adj) {
+		g.grow(&b, src, math.Inf(1))
 	}
-	if int(src) >= len(g.adj) {
-		return dist
+	return b.dist
+}
+
+// ball is the state of one Dijkstra search. dist holds +Inf for every
+// vertex the search has not settled. A tracked ball also lists the
+// settled vertices in settle order and every vertex whose dist was ever
+// written, so reset restores it in time proportional to the search, not
+// to the graph; a one-shot full search skips that bookkeeping.
+type ball struct {
+	dist    []float64
+	track   bool
+	settled []network.VertexID
+	touched []network.VertexID
+	heap    distHeap
+}
+
+// grow runs Dijkstra from src into a reset ball and stops at the first
+// pop farther than limit. Vertices are settled in ascending (distance,
+// vertex) order — a total order — so the settled prefix and its
+// distances do not depend on where the search stops. Vertices reached
+// but left unsettled read as +Inf afterwards: their tentative distance
+// exceeds limit, and a bounded caller must not tell them apart from
+// unreachable ones. A finite limit needs a tracked ball.
+func (g *Graph) grow(b *ball, src network.VertexID, limit float64) {
+	b.dist[src] = 0
+	if b.track {
+		b.touched = append(b.touched, src)
 	}
-	dist[src] = 0
-	h := &distHeap{{v: src, d: 0}}
+	h := append(b.heap[:0], distItem{v: src, d: 0})
+	stopped := false
 	for h.Len() > 0 {
 		it := h.pop()
-		if it.d > dist[it.v] {
+		if it.d > limit {
+			stopped = true
+			break
+		}
+		if it.d > b.dist[it.v] {
 			continue
 		}
+		if b.track {
+			b.settled = append(b.settled, it.v)
+		}
 		for _, e := range g.adj[it.v] {
-			if nd := it.d + e.Len; nd < dist[e.To] {
-				dist[e.To] = nd
+			if nd := it.d + e.Len; nd < b.dist[e.To] {
+				if b.track && math.IsInf(b.dist[e.To], 1) {
+					b.touched = append(b.touched, e.To)
+				}
+				b.dist[e.To] = nd
 				h.push(distItem{v: e.To, d: nd})
 			}
 		}
 	}
-	return dist
+	if stopped {
+		for _, v := range b.touched {
+			if b.dist[v] > limit {
+				b.dist[v] = math.Inf(1)
+			}
+		}
+	}
+	b.heap = h[:0]
+}
+
+// reset returns a ball to all +Inf, touching only what the last search
+// wrote.
+func (b *ball) reset() {
+	for _, v := range b.touched {
+		b.dist[v] = math.Inf(1)
+	}
+	b.touched = b.touched[:0]
+	b.settled = b.settled[:0]
 }
 
 type distItem struct {

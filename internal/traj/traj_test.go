@@ -201,6 +201,19 @@ func TestTopKRoutesTrivialAndUnreachable(t *testing.T) {
 	if rs == nil || len(rs) != 0 {
 		t.Fatalf("unreachable answer = %#v, want empty non-nil", rs)
 	}
+
+	// Connected but farther than the budget: the same empty answer, and
+	// the search stops before doing any work.
+	rs, st, err := TopKRoutes(ctx, g, hashInterest, RouteQuery{Src: 0, Dst: 1, K: 3, Budget: 0.5}, SearchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs == nil || len(rs) != 0 {
+		t.Fatalf("beyond-budget answer = %#v, want empty non-nil", rs)
+	}
+	if st != (SearchStats{}) {
+		t.Fatalf("beyond-budget stats = %+v, want zero", st)
+	}
 }
 
 // Property: every returned route is a vertex-simple src→dst walk over
