@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/geo"
@@ -33,6 +34,11 @@ func deriveBounds(net *network.Network, pts []geo.Point, cfg IndexConfig) (geo.R
 	return bounds, nil
 }
 
+// ErrNoSlab reports an Index built without a slab (IndexConfig.Compact
+// unset, or dropped by AddPOI) asked for an operation only the slab
+// layout implements.
+var ErrNoSlab = errors.New("core: index has no slab (build it with IndexConfig.Compact)")
+
 // UnseenBound returns the initial value of Algorithm 1's unseen upper
 // bound for this index: UB = top(SL1)·top(SL2) / (2ε·top(SL3) + πε²)
 // before any source-list pop. Because the source lists are untouched,
@@ -46,21 +52,11 @@ func deriveBounds(net *network.Network, pts []geo.Point, cfg IndexConfig) (geo.R
 // An exhausted list makes the bound zero: the index holds no
 // query-relevant mass (SL1 empty) or no segments at all (SL2/SL3
 // empty). The bound is deterministic — a pure function of ⟨index, Ψ, ε⟩.
+// It is computed on the slab (SlabIndex.UnseenBound); an index without
+// one returns ErrNoSlab.
 func (ix *Index) UnseenBound(q Query) (float64, error) {
-	query, err := ix.resolveQuery(q)
-	if err != nil {
-		return 0, err
+	if ix.six == nil {
+		return 0, ErrNoSlab
 	}
-	sl1 := ix.buildSL1(query)
-	if len(sl1) == 0 {
-		return 0, nil
-	}
-	sl2 := ix.SegmentsByCellCount(q.Epsilon)
-	sl3 := ix.segsByLen
-	if len(sl2) == 0 || len(sl3) == 0 {
-		return 0, nil
-	}
-	top2 := float64(len(ix.SegmentCells(q.Epsilon)[sl2[0]]))
-	top3 := ix.net.Segment(sl3[0]).Length()
-	return Interest(sl1[0].Weight*top2, top3, q.Epsilon), nil
+	return ix.six.UnseenBound(q)
 }

@@ -231,6 +231,58 @@ func (six *SlabIndex) Resolve(q Query) (vocab.Set, error) {
 	return set, nil
 }
 
+// UnseenBound returns Algorithm 1's unseen upper bound before any
+// source-list pop, UB = top(SL1)·top(SL2) / (2ε·top(SL3) + πε²); see
+// Index.UnseenBound for what it bounds. It reads only the heads of the
+// three source lists and never builds or sorts one, and the value is
+// bit-identical to the head of the sorted SL1 the evaluation would build.
+func (six *SlabIndex) UnseenBound(q Query) (float64, error) {
+	query, err := six.Resolve(q)
+	if err != nil {
+		return 0, err
+	}
+	return six.unseenBound(query, q.Epsilon), nil
+}
+
+// unseenBound is UnseenBound over a resolved query. With a warmed ε it
+// performs zero heap allocations once the scratch pool has seen the
+// world size.
+func (six *SlabIndex) unseenBound(query vocab.Set, eps float64) float64 {
+	top1, ok := six.topSL1(query)
+	if !ok {
+		return 0
+	}
+	p := six.plan(eps)
+	if len(p.sl2) == 0 {
+		return 0
+	}
+	head := p.sl2[0]
+	top2 := float64(p.segCellOff[head+1] - p.segCellOff[head])
+	top3 := six.segLen[six.segsByLen[0]]
+	return Interest(top1*top2, top3, eps)
+}
+
+// topSL1 returns the head weight of the query's SL1, and false when the
+// list is empty. A single keyword's postings are already sorted by
+// weight, so its head is the first entry; several keywords take one
+// accumulation pass on a pooled run.
+func (six *SlabIndex) topSL1(query vocab.Set) (float64, bool) {
+	s := six.slab
+	switch len(query) {
+	case 0:
+		return 0, false
+	case 1:
+		kw := query[0]
+		if int(kw) >= s.VocabN || s.InvOff[kw] == s.InvOff[kw+1] {
+			return 0, false
+		}
+		return s.InvWeight[s.InvOff[kw]], true
+	}
+	r := six.pool.Get().(*slabRun)
+	defer six.pool.Put(r)
+	return r.maxCappedSum(query)
+}
+
 // SOI evaluates a k-SOI query. Results are bit-identical to
 // Index.SOI on an index over the same data.
 func (six *SlabIndex) SOI(q Query) ([]StreetResult, Stats, error) {
@@ -271,6 +323,13 @@ func (six *SlabIndex) SOIResolved(ctx context.Context, query vocab.Set, k int, e
 	}
 	r := six.pool.Get().(*slabRun)
 	defer six.pool.Put(r)
+	return r.evaluate(ctx, query, k, eps, mc, out)
+}
+
+// evaluate runs Algorithm 1 on this run's scratch: build lists, filter,
+// refine.
+func (r *slabRun) evaluate(ctx context.Context, query vocab.Set, k int, eps float64, mc *MassCache, out []StreetResult) ([]StreetResult, Stats, error) {
+	six := r.six
 	r.ctx = ctx
 	r.query = query
 	r.k = k

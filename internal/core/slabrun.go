@@ -121,12 +121,7 @@ func (r *slabRun) begin(plan *slabPlan) {
 	numStreets := six.net.NumStreets()
 	numPairs := len(plan.segCell)
 
-	r.epoch++
-	wrapped := r.epoch == 0
-	if wrapped {
-		r.epoch = 1
-	}
-
+	r.nextEpoch()
 	r.segSeen = growU32(r.segSeen, numSegs)
 	r.segFinal = growU32(r.segFinal, numSegs)
 	r.segMass = growF64(r.segMass, numSegs)
@@ -146,25 +141,32 @@ func (r *slabRun) begin(plan *slabPlan) {
 	r.sbMass = growF64(r.sbMass, numStreets)
 	r.topk.init(r.k, numStreets)
 	r.exact.init(r.k, numStreets)
-	if wrapped {
-		for _, s := range [][]uint32{r.segSeen, r.segFinal, r.visited, r.relStamp,
-			r.accStamp, r.cwStamp, r.sbStamp, r.topk.bestStamp, r.topk.inTop,
-			r.exact.bestStamp, r.exact.inTop} {
-			for i := range s {
-				s[i] = 0
-			}
-		}
-	}
 
 	r.seen = r.seen[:0]
 	r.relX, r.relY, r.relW = r.relX[:0], r.relY[:0], r.relW[:0]
-	r.accTouched = r.accTouched[:0]
 	r.sbTouched = r.sbTouched[:0]
 	r.p1, r.p2, r.p3 = 0, 0, 0
 	r.tick = 0
 	r.stats = Stats{TotalSegments: numSegs, TotalCells: numCells}
 
 	r.buildSL1()
+}
+
+// nextEpoch advances the run epoch, which invalidates every stamped slot
+// at once. Epoch zero is reserved for never-written slots, so when the
+// counter wraps every stamp array is zeroed over its full capacity —
+// including any tail a later grow would re-expose.
+func (r *slabRun) nextEpoch() {
+	r.epoch++
+	if r.epoch != 0 {
+		return
+	}
+	r.epoch = 1
+	for _, s := range [][]uint32{r.segSeen, r.segFinal, r.visited, r.relStamp,
+		r.accStamp, r.cwStamp, r.sbStamp, r.topk.bestStamp, r.topk.inTop,
+		r.exact.bestStamp, r.exact.inTop} {
+		clear(s[:cap(s)])
+	}
 }
 
 // release drops the per-evaluation references so a pooled run does not
@@ -185,10 +187,9 @@ func (r *slabRun) release() {
 // weight before sorting decreasingly by weight, ties by cell.
 func (r *slabRun) buildSL1() {
 	s := r.six.slab
-	inRange := func(kw vocab.ID) bool { return int(kw) < s.VocabN }
 	if len(r.query) == 1 {
 		kw := r.query[0]
-		if !inRange(kw) {
+		if int(kw) >= s.VocabN {
 			r.sl1Cell, r.sl1W = nil, nil
 			return
 		}
@@ -197,8 +198,30 @@ func (r *slabRun) buildSL1() {
 		r.sl1W = s.InvWeight[lo:hi]
 		return
 	}
-	for _, kw := range r.query {
-		if !inRange(kw) {
+	r.accumulate(r.query)
+	r.sl1CellBuf = r.sl1CellBuf[:0]
+	r.sl1WBuf = r.sl1WBuf[:0]
+	for _, ord := range r.accTouched {
+		r.sl1CellBuf = append(r.sl1CellBuf, ord)
+		r.sl1WBuf = append(r.sl1WBuf, r.cappedAcc(ord))
+	}
+	r.sl1Sorter.cells = r.sl1CellBuf
+	r.sl1Sorter.weights = r.sl1WBuf
+	sort.Sort(&r.sl1Sorter)
+	r.sl1Cell = r.sl1CellBuf
+	r.sl1W = r.sl1WBuf
+}
+
+// accumulate sums the cell weights of query's keywords into the
+// per-ordinal accumulators, keyword by keyword in query order — the
+// per-cell addition order of the map layout — and lists first touches in
+// accTouched. accW and accStamp must be sized to the slab's cells and the
+// epoch fresh.
+func (r *slabRun) accumulate(query vocab.Set) {
+	s := r.six.slab
+	r.accTouched = r.accTouched[:0]
+	for _, kw := range query {
+		if int(kw) >= s.VocabN {
 			continue
 		}
 		for j := s.InvOff[kw]; j < s.InvOff[kw+1]; j++ {
@@ -211,21 +234,35 @@ func (r *slabRun) buildSL1() {
 			r.accW[ord] += s.InvWeight[j]
 		}
 	}
-	r.sl1CellBuf = r.sl1CellBuf[:0]
-	r.sl1WBuf = r.sl1WBuf[:0]
-	for _, ord := range r.accTouched {
-		w := r.accW[ord]
-		if tw := s.CellWeight[ord]; w > tw {
-			w = tw
-		}
-		r.sl1CellBuf = append(r.sl1CellBuf, ord)
-		r.sl1WBuf = append(r.sl1WBuf, w)
+}
+
+// cappedAcc is an accumulated cell weight capped at the cell's total POI
+// weight: min(|Pc|, Σψ I[ψ][c]), the SL1 key of Algorithm 1 line 2.
+func (r *slabRun) cappedAcc(ord int32) float64 {
+	w := r.accW[ord]
+	if tw := r.six.slab.CellWeight[ord]; w > tw {
+		w = tw
 	}
-	r.sl1Sorter.cells = r.sl1CellBuf
-	r.sl1Sorter.weights = r.sl1WBuf
-	sort.Sort(&r.sl1Sorter)
-	r.sl1Cell = r.sl1CellBuf
-	r.sl1W = r.sl1WBuf
+	return w
+}
+
+// maxCappedSum accumulates a multi-keyword query exactly as buildSL1
+// does and returns the largest capped cell sum — the head weight of the
+// SL1 buildSL1 would sort — or false when no cell carries a query
+// keyword. It bumps the epoch and uses only the accumulator scratch.
+func (r *slabRun) maxCappedSum(query vocab.Set) (float64, bool) {
+	numCells := r.six.slab.NumCells()
+	r.nextEpoch()
+	r.accW = growF64(r.accW, numCells)
+	r.accStamp = growU32(r.accStamp, numCells)
+	r.accumulate(query)
+	top, found := 0.0, false
+	for _, ord := range r.accTouched {
+		if w := r.cappedAcc(ord); !found || w > top {
+			top, found = w, true
+		}
+	}
+	return top, found
 }
 
 // sl1Sorter orders parallel (cell ordinal, weight) slices decreasingly by

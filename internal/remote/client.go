@@ -9,7 +9,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -179,17 +179,18 @@ func (ss *shardState) observe(d time.Duration) {
 }
 
 // p95 returns the 95th-percentile success latency over the window, and
-// whether enough samples exist to trust it.
+// whether enough samples exist to trust it. The window is copied into a
+// stack array and sorted there, so a call does not allocate.
 func (ss *shardState) p95() (time.Duration, bool) {
+	var buf [latencyWindow]time.Duration
 	ss.mu.Lock()
 	n := ss.nLat
-	buf := make([]time.Duration, n)
-	copy(buf, ss.lats[:n])
+	copy(buf[:], ss.lats[:n])
 	ss.mu.Unlock()
 	if n < minHedgeSamples {
 		return 0, false
 	}
-	sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
+	slices.Sort(buf[:n])
 	return buf[(n*95+99)/100-1], true
 }
 

@@ -104,7 +104,9 @@ type ShardData struct {
 	TileY    int
 	Halo     float64
 	CellSize float64
-	Index    *core.Index
+	// Index must be slab-backed (as every shard.Partition shard and
+	// snapshot-loaded index is); the static bound is computed on the slab.
+	Index *core.Index
 	// Streets[local] / Segments[local] map the shard's local ids to the
 	// global id space (strictly ascending, preserving tie-breaks).
 	Streets  []network.StreetID

@@ -164,7 +164,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	ub, err := s.d.Index.UnseenBound(q)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errBody{Error: err.Error()})
+		// The query validated above, so what is left is a shard index
+		// without a slab: a fault of this server, not of the request.
+		writeJSON(w, http.StatusInternalServerError, errBody{Error: err.Error()})
 		return
 	}
 	resp := QueryResponse{Shard: s.d.ShardID, UB: ub}

@@ -163,10 +163,12 @@ func TestChaosGatherSiteCancelled(t *testing.T) {
 
 // TestChaosSlowShardGetsPruned: the benchmark-style property that makes
 // early termination worth having — a pruned shard never blocks the
-// gather. The world is partitioned so at least one shard is pruned for
-// the golden query (seed 42, 4 tiles → 2 pruned); that shard's
-// evaluation is wedged forever, yet TopK completes because the gather
-// loop cancels it without waiting.
+// gather. The world is partitioned so shards are pruned for the golden
+// query (seed 42, 4 tiles → 2 pruned). Pruned shards are a suffix of the
+// gather order (UB desc, id asc): bounds fall along it while LB_k only
+// rises. So the last shard in that order is pruned; its evaluation is
+// wedged forever by id, yet TopK completes because the gather loop
+// cancels it without waiting.
 func TestChaosSlowShardGetsPruned(t *testing.T) {
 	defer faults.Reset()
 	net, pois := tinyWorld(t, 42)
@@ -177,12 +179,20 @@ func TestChaosSlowShardGetsPruned(t *testing.T) {
 	coord := NewCoordinator(w)
 	q := goldenQuery()
 
-	// Order of scatter launches == gather order (UB desc, id asc); the
-	// golden counters say shards at positions 2 and 3 are pruned. Wedge
-	// the last-launched shard: it must never be waited on.
+	last, lastUB := -1, 0.0
+	for _, s := range w.Shards {
+		ub, err := s.Index.UnseenBound(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if last < 0 || ub <= lastUB {
+			last, lastUB = s.ID, ub
+		}
+	}
 	block := make(chan struct{})
 	defer close(block)
-	faults.Activate(SiteScatter, faults.Fault{Block: block, After: 3, Times: 1})
+	site := ScatterSite(last)
+	faults.Activate(site, faults.Fault{Block: block})
 	before := runtime.NumGoroutine()
 	done := make(chan struct{})
 	var got []core.StreetResult
@@ -194,7 +204,7 @@ func TestChaosSlowShardGetsPruned(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("TopK blocked on a pruned shard")
+		t.Fatalf("TopK blocked on pruned shard %d", last)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -204,6 +214,10 @@ func TestChaosSlowShardGetsPruned(t *testing.T) {
 	}
 	if len(got) != q.K {
 		t.Errorf("got %d results, want %d", len(got), q.K)
+	}
+	// TopK joined every goroutine, so the wedged shard's visit is in.
+	if n := faults.Fired(site); n != 1 {
+		t.Errorf("site %s fired %d times, want 1", site, n)
 	}
 	checkNoLeaks(t, before)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 
 	"repro/internal/core"
@@ -20,6 +21,22 @@ const (
 	// prune-or-wait decision.
 	SiteGather = "shard.gather"
 )
+
+// ScatterSite names the per-shard scatter site, "shard.scatter/<id>". It
+// fires right after SiteScatter, in the goroutine evaluating shard id
+// only, so a test can wedge one known shard whatever order the
+// goroutines are scheduled in.
+func ScatterSite(id int) string { return SiteScatter + "/" + strconv.Itoa(id) }
+
+// scatterSites precomputes ScatterSite for shards 0..n-1, so visiting an
+// unarmed per-shard site stays one atomic load with no allocation.
+func scatterSites(n int) []string {
+	sites := make([]string, n)
+	for i := range sites {
+		sites[i] = ScatterSite(i)
+	}
+	return sites
+}
 
 // ErrEpsilonExceedsHalo rejects queries whose radius is larger than the
 // world's POI replication halo: border streets could miss mass from
@@ -58,12 +75,13 @@ type GatherStats struct {
 // dataset.
 type Coordinator struct {
 	world *World
-	// order holds shard indices sorted by (initial UB desc, shard id
-	// asc) per query; recomputed each call since UB depends on Ψ and ε.
+	sites []string // per-shard scatter sites, by shard id
 }
 
 // NewCoordinator wraps a partitioned world.
-func NewCoordinator(w *World) *Coordinator { return &Coordinator{world: w} }
+func NewCoordinator(w *World) *Coordinator {
+	return &Coordinator{world: w, sites: scatterSites(len(w.Shards))}
+}
 
 // World returns the underlying partitioned world.
 func (c *Coordinator) World() *World { return c.world }
@@ -140,6 +158,10 @@ func (c *Coordinator) TopK(ctx context.Context, q core.Query) ([]core.StreetResu
 				}
 			}()
 			if err := faults.InjectCtx(sctx, SiteScatter); err != nil {
+				r.err = err
+				return
+			}
+			if err := faults.InjectCtx(sctx, c.sites[r.shard.ID]); err != nil {
 				r.err = err
 				return
 			}

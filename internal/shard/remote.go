@@ -85,13 +85,14 @@ type RemoteQuerier interface {
 type RemoteCoordinator struct {
 	client RemoteQuerier
 	halo   float64
+	sites  []string // per-shard scatter sites, by shard id
 }
 
 // NewRemoteCoordinator wraps a shard client. halo is the partition's
 // POI-replication halo (the largest ε answered exactly); pass 0 to skip
 // the coordinator-side ε check and let shards enforce it.
 func NewRemoteCoordinator(client RemoteQuerier, halo float64) *RemoteCoordinator {
-	return &RemoteCoordinator{client: client, halo: halo}
+	return &RemoteCoordinator{client: client, halo: halo, sites: scatterSites(client.Shards())}
 }
 
 // Halo returns the coordinator's ε ceiling (0 when unchecked).
@@ -220,6 +221,10 @@ func (c *RemoteCoordinator) TopK(ctx context.Context, q core.Query, allowPartial
 				}
 			}()
 			if err := faults.InjectCtx(sctx, SiteScatter); err != nil {
+				r.err = err
+				return
+			}
+			if err := faults.InjectCtx(sctx, c.sites[r.id]); err != nil {
 				r.err = err
 				return
 			}

@@ -270,6 +270,46 @@ func TestRemoteChaosWedgedShard(t *testing.T) {
 	h.proxies[1].mode.Store(int32(chaosPass))
 }
 
+// TestRemoteChaosPerShardScatterSite: a fault armed at one shard's
+// scatter site hits that shard only. The first shard in gather order is
+// never pruned, so failing it must degrade the answer with exactly that
+// shard missing, whatever order the scatter goroutines run in.
+func TestRemoteChaosPerShardScatterSite(t *testing.T) {
+	defer faults.Reset()
+	q := chaosQuery()
+	h := newRemoteHarness(t, 4, fastRemote())
+	oracle, _, err := h.coord.TopK(context.Background(), q, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, firstUB := -1, 0.0
+	for _, s := range h.w.Shards {
+		ub, err := s.Index.UnseenBound(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ub > firstUB {
+			first, firstUB = s.ID, ub
+		}
+	}
+	if first < 0 {
+		t.Fatal("every shard bound is zero; the query reaches no shard")
+	}
+	site := ScatterSite(first)
+	faults.Activate(site, faults.Fault{Err: errors.New("injected shard fault")})
+	got, g, err := h.coord.TopK(context.Background(), q, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !g.Degraded || len(g.MissingShards) != 1 || g.MissingShards[0] != first {
+		t.Fatalf("degraded=%v missing=%v, want shard %d missing", g.Degraded, g.MissingShards, first)
+	}
+	if n := faults.Fired(site); n != 1 {
+		t.Errorf("site %s fired %d times, want 1", site, n)
+	}
+	assertExactOrDegraded(t, h, q, oracle, got, g, map[int]bool{first: true})
+}
+
 // TestRemoteChaosDropWithRetryStaysExact: transient drops on the
 // network legs that resolve within the retry budget must leave the
 // answer bit-identical and untagged — retries are invisible to

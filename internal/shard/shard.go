@@ -37,8 +37,7 @@ type Config struct {
 	Halo float64
 	// CellSize is the grid cell size for every per-shard index.
 	CellSize float64
-	// Compact builds slab-backed per-shard indexes (required for
-	// snapshot emission; the coordinator works either way).
+	// Deprecated: ignored; every shard is slab-backed.
 	Compact bool
 }
 
@@ -222,7 +221,7 @@ func buildShard(net *network.Network, pois *poi.Corpus, cfg Config, bounds geo.R
 
 	ix, err := core.NewIndex(snet, spois, core.IndexConfig{
 		CellSize: cfg.CellSize,
-		Compact:  cfg.Compact,
+		Compact:  true,
 		Bounds:   bounds,
 	})
 	if err != nil {

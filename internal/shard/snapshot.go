@@ -46,8 +46,9 @@ type Manifest struct {
 }
 
 // WriteSnapshots persists a partitioned world: one snapshot file per
-// shard next to the manifest at manifestPath. The world must have been
-// partitioned with Compact set (each shard needs a slab). Shard files
+// shard next to the manifest at manifestPath. Every shard needs a slab,
+// which Partition always builds; a hand-assembled shard over a map-only
+// index is rejected. Shard files
 // are named <base>.shard<N>.soi where <base> strips manifestPath's
 // extension.
 func WriteSnapshots(manifestPath string, w *World) error {
@@ -64,7 +65,7 @@ func WriteSnapshots(manifestPath string, w *World) error {
 	for _, s := range w.Shards {
 		six := s.Index.SlabIndex()
 		if six == nil {
-			return fmt.Errorf("shard: shard %d has no slab (partition with Compact to write snapshots)", s.ID)
+			return fmt.Errorf("shard: shard %d has no slab to write: %w", s.ID, core.ErrNoSlab)
 		}
 		file := fmt.Sprintf("%s.shard%d.soi", base, s.ID)
 		snap := &snapshot.Snapshot{

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -14,7 +15,7 @@ import (
 // in-memory partition and to the single index, with the same counters.
 func TestSnapshotRoundTrip(t *testing.T) {
 	net, pois := tinyWorld(t, 42)
-	w, err := Partition(net, pois, Config{Tiles: 4, Halo: 0.0012, CellSize: 0.0005, Compact: true})
+	w, err := Partition(net, pois, Config{Tiles: 4, Halo: 0.0012, CellSize: 0.0005})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,16 +66,27 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWriteSnapshotsRequiresCompact: a map-layout partition has no slab
-// to persist and must be rejected with a clear error.
+// TestWriteSnapshotsRequiresCompact: a shard over a map-only index has
+// no slab to persist and must be rejected with ErrNoSlab. Partition
+// always builds slab-backed shards, so the map-only shard is assembled
+// by hand.
 func TestWriteSnapshotsRequiresCompact(t *testing.T) {
 	net, pois := tinyWorld(t, 1)
 	w, err := Partition(net, pois, Config{Tiles: 2, Halo: 0.001, CellSize: 0.0005})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteSnapshots(filepath.Join(t.TempDir(), "m.json"), w); err == nil {
-		t.Fatal("expected an error for a non-compact partition")
+	s := w.Shards[1]
+	ix, err := core.NewIndex(s.Net, s.POIs, core.IndexConfig{CellSize: w.CellSize, Bounds: w.Bounds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapOnly := *s
+	mapOnly.Index = ix
+	w.Shards[1] = &mapOnly
+	err = WriteSnapshots(filepath.Join(t.TempDir(), "m.json"), w)
+	if !errors.Is(err, core.ErrNoSlab) {
+		t.Fatalf("WriteSnapshots with a map-only shard: got %v, want ErrNoSlab", err)
 	}
 }
 
